@@ -868,8 +868,20 @@ fn decaps_after_prf(
     let ct_prime = encrypt_bytes(params, &a_hat, &key.t_hat, &m_prime, &noise);
     // Implicit rejection: a mismatched re-encryption yields K̄ = J(z ‖ c)
     // — indistinguishable from a real secret, never an error.
-    let shared_secret = if ct_prime == ct { k_prime } else { k_bar };
+    let shared_secret = select_on_match(&ct_prime, &ct, &k_prime, &k_bar);
     (Stage::Done(KemResult::Decaps { shared_secret }), Vec::new())
+}
+
+/// Returns `on_match` if `a == b`, else `on_mismatch`, in constant time
+/// for equal lengths: every byte pair is compared (no early exit) and
+/// the key is chosen by a mask, not a branch on the secret outcome.
+/// Lengths are public (both are ciphertexts of one parameter set).
+fn select_on_match(a: &[u8], b: &[u8], on_match: &[u8; 32], on_mismatch: &[u8; 32]) -> [u8; 32] {
+    let diff = a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y));
+    let diff = u16::from(std::hint::black_box(diff)) | u16::from(a.len() != b.len());
+    // 0xFF when any byte differed, 0x00 when all matched.
+    let mask = ((diff | diff.wrapping_neg()) >> 8) as u8;
+    std::array::from_fn(|i| on_match[i] ^ (mask & (on_match[i] ^ on_mismatch[i])))
 }
 
 /// The 2k+1 `PRF` jobs of one encryption: `r` (η₁, nonces `0..k`), `e₁`
@@ -1077,6 +1089,22 @@ mod tests {
             m[i] = (i as u8).wrapping_mul(7) ^ tag.wrapping_add(2);
         }
         (d, z, m)
+    }
+
+    #[test]
+    fn select_on_match_compares_the_full_length() {
+        let on_match = [0x11u8; 32];
+        let on_mismatch = [0xEEu8; 32];
+        let ct: Vec<u8> = (0..768u16).map(|i| (i * 37 % 251) as u8).collect();
+        let pick = |other: &[u8]| select_on_match(&ct, other, &on_match, &on_mismatch);
+        assert_eq!(pick(&ct), on_match, "equal");
+        let mut first = ct.clone();
+        first[0] ^= 0x01;
+        assert_eq!(pick(&first), on_mismatch, "differs only in the first byte");
+        let mut last = ct.clone();
+        *last.last_mut().unwrap() ^= 0x80;
+        assert_eq!(pick(&last), on_mismatch, "differs only in the last byte");
+        assert_eq!(pick(&ct[..767]), on_mismatch, "shorter");
     }
 
     #[test]

@@ -1551,6 +1551,8 @@ fn decode_snapshot(cursor: &mut Cursor<'_>) -> Result<MetricsSnapshot, ProtocolE
         kem_hash_jobs: counters[18],
         kem_dispatches: counters[19],
         kem_invalid: counters[20],
+        // An in-process counter only; STATS does not carry it.
+        simulator_passes: 0,
         queue_depth: counters[21] as usize,
         mean_batch_fill: f64::from_bits(counters[22]),
         alive_workers: counters[23] as usize,
@@ -1723,6 +1725,8 @@ mod tests {
             kem_hash_jobs: 40,
             kem_dispatches: 11,
             kem_invalid: 2,
+            // Not on the wire, so it round-trips only as 0.
+            simulator_passes: 0,
             queue_depth: 7,
             mean_batch_fill: 0.875,
             alive_workers: 2,

@@ -8,7 +8,8 @@
 //! thread continuously forms micro-batches sized to the engine pool —
 //! closing a batch as soon as every pooled state slot can be filled, or
 //! when the oldest request has waited [`ServiceConfig::max_wait`] — and
-//! dispatches them through [`krv_sha3::hash_batch`] on a
+//! dispatches each batch's hashes and stream operations, whatever their
+//! rates, as one [`krv_sha3::drive_stream`] group on a
 //! [`krv_core::EnginePool`].
 //!
 //! Robustness is part of the contract:
@@ -624,7 +625,7 @@ impl Drop for Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krv_sha3::{Sha3_256, Sha3_512, Shake128};
+    use krv_sha3::{Sha3_256, Sha3_512, Shake128, Shake256};
     use krv_testkit::Rng;
 
     /// A tight batching window so single-burst tests complete quickly.
@@ -749,8 +750,11 @@ mod tests {
     #[test]
     fn injected_worker_death_is_retried_and_capacity_shrinks() {
         // slots = 2 workers × SN 2 = 4; the batch closes only when all
-        // four requests are queued, so it spans both workers and the
-        // killed one is discovered mid-dispatch.
+        // four requests are queued. They mix four parameter sets yet form
+        // one group, whose first round spans both workers, so the killed
+        // one is discovered mid-dispatch. The messages are multi-block
+        // and one squeeze is too, so the failure strikes mid-stream and
+        // the retry must rebuild every state fresh.
         let service = Service::start(ServiceConfig {
             sn: 2,
             workers: 2,
@@ -758,16 +762,28 @@ mod tests {
             ..ServiceConfig::default()
         });
         service.inject_worker_failure(1);
-        let messages: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 64]).collect();
-        let tickets: Vec<Ticket> = messages
-            .iter()
-            .map(|m| service.submit(HashRequest::sha3_256(m.clone())).unwrap())
+        let message = vec![0xA7u8; 150];
+        let requests = [
+            HashRequest::shake128(message.clone(), 400),
+            HashRequest::sha3_256(message.clone()),
+            HashRequest::new(message.clone(), SpongeParams::sha3(512), 64),
+            HashRequest::new(message.clone(), SpongeParams::shake(256), 16),
+        ];
+        let expected = [
+            Shake128::digest(&message, 400),
+            Sha3_256::digest(&message).to_vec(),
+            Sha3_512::digest(&message).to_vec(),
+            Shake256::digest(&message, 16),
+        ];
+        let tickets: Vec<Ticket> = requests
+            .into_iter()
+            .map(|request| service.submit(request).unwrap())
             .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
+        for (i, (ticket, expected)) in tickets.into_iter().zip(&expected).enumerate() {
             let completion = ticket.wait();
             assert_eq!(
-                completion.result.expect("retry succeeds"),
-                Sha3_256::digest(&messages[i]),
+                &completion.result.expect("retry succeeds"),
+                expected,
                 "request #{i} correct after the retry"
             );
             assert!(completion.timing.retried, "the killed batch retried");

@@ -108,6 +108,8 @@ pub(crate) struct ServiceStats {
     pub kem_invalid: u64,
     /// Sum of per-batch fill ratios (`batch_size / batch_slots`).
     pub fill_sum: f64,
+    /// Simulator engine-pool passes, folded in per batch.
+    pub simulator_passes: u64,
     /// Pool workers alive as of the last dispatched batch.
     pub alive_workers: usize,
     /// State slots a batch can fill as of the last dispatched batch.
@@ -145,6 +147,7 @@ impl ServiceStats {
             kem_dispatches: 0,
             kem_invalid: 0,
             fill_sum: 0.0,
+            simulator_passes: 0,
             alive_workers: config.workers,
             batch_slots: config.batch_slots(),
             queue_wait: LatencyHistogram::new(),
@@ -179,6 +182,7 @@ impl ServiceStats {
             kem_dispatches: self.kem_dispatches,
             kem_invalid: self.kem_invalid,
             fill_sum: self.fill_sum,
+            simulator_passes: self.simulator_passes,
             queue_depth,
             alive_workers: self.alive_workers,
             batch_slots: self.batch_slots,
@@ -245,6 +249,8 @@ pub struct ShardMetrics {
     pub kem_invalid: u64,
     /// Sum of per-batch fill ratios (`batch_size / batch_slots`).
     pub fill_sum: f64,
+    /// Simulator engine-pool passes.
+    pub simulator_passes: u64,
     /// Requests queued at snapshot time.
     pub queue_depth: usize,
     /// Pool workers alive as of the last dispatched batch.
@@ -292,6 +298,7 @@ impl ShardMetrics {
             kem_dispatches: 0,
             kem_invalid: 0,
             fill_sum: 0.0,
+            simulator_passes: 0,
             queue_depth: 0,
             alive_workers: 0,
             batch_slots: 0,
@@ -328,6 +335,7 @@ impl ShardMetrics {
         self.kem_dispatches += other.kem_dispatches;
         self.kem_invalid += other.kem_invalid;
         self.fill_sum += other.fill_sum;
+        self.simulator_passes += other.simulator_passes;
         self.queue_depth += other.queue_depth;
         self.alive_workers += other.alive_workers;
         self.batch_slots += other.batch_slots;
@@ -361,6 +369,7 @@ impl ShardMetrics {
             kem_hash_jobs: self.kem_hash_jobs,
             kem_dispatches: self.kem_dispatches,
             kem_invalid: self.kem_invalid,
+            simulator_passes: self.simulator_passes,
             queue_depth: self.queue_depth,
             mean_batch_fill: if self.batches == 0 {
                 0.0
@@ -447,6 +456,12 @@ pub struct MetricsSnapshot {
     /// validation (malformed key or ciphertext); these never reach the
     /// engines.
     pub kem_invalid: u64,
+    /// Hardware passes the simulator engine pool ran: served dispatches,
+    /// retries and mirror replays alike. `simulator_passes / completed`
+    /// shows how densely the scheduler packs states into passes. Kept
+    /// in process only: the wire STATS snapshot does not carry it and
+    /// decodes it as 0.
+    pub simulator_passes: u64,
     /// Requests queued at snapshot time.
     pub queue_depth: usize,
     /// Mean batch fill ratio (`batch_size / batch_slots`, 1.0 = every

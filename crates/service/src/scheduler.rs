@@ -27,9 +27,10 @@ use std::time::{Duration, Instant};
 
 /// The three kinds of admitted work: a one-shot hash, one streaming
 /// session operation, and one ML-KEM operation. All ride the same queue
-/// and micro-batches; they differ in how they dispatch (grouped
-/// `hash_batch`, a shared `drive_stream` round, or the staged KEM
-/// pipeline) and in what their tickets carry back.
+/// and micro-batches. Hashes and stream operations of a batch dispatch
+/// together as one mixed-rate `drive_stream` group (a hash is a stream
+/// operation on a fresh state); KEM operations run the staged pipeline.
+/// They differ in what their tickets carry back.
 #[derive(Debug)]
 pub(crate) enum Work {
     Hash {
@@ -265,9 +266,40 @@ impl Shared {
     }
 }
 
-/// One live (not expired) stream operation of a batch: the request, its
-/// ticket and when it was admitted.
-type StreamPending = (StreamRequest, Arc<TicketCell<StreamCompletion>>, Instant);
+/// Where a sponge operation's result goes: a one-shot hash completes
+/// with its digest, a stream operation with its advanced state too.
+enum SpongeReply {
+    Hash(Arc<TicketCell<Completion>>),
+    Stream(Arc<TicketCell<StreamCompletion>>),
+}
+
+impl SpongeReply {
+    fn fail(self, error: RequestError, timing: RequestTiming) {
+        match self {
+            SpongeReply::Hash(ticket) => ticket.complete(Completion {
+                result: Err(error),
+                timing,
+            }),
+            SpongeReply::Stream(ticket) => ticket.complete(StreamCompletion {
+                result: Err(error),
+                timing,
+            }),
+        }
+    }
+}
+
+/// One live sponge operation of a batch. A one-shot hash is a stream
+/// operation on a fresh state — absorb the message, finalize, squeeze
+/// the digest — so hashes and session operations of every
+/// [`SpongeParams`] ride one `drive_stream` group.
+struct SpongeLive {
+    state: Box<SpongeState>,
+    absorb: Vec<u8>,
+    finalize: bool,
+    output: Vec<u8>,
+    reply: SpongeReply,
+    enqueued: Instant,
+}
 
 /// One live KEM operation riding a batch through the staged pipeline.
 struct KemLive {
@@ -284,6 +316,30 @@ struct KemLive {
     failed: Option<PoolError>,
     /// Whether any dispatch group this job rode in was retried.
     retried: bool,
+}
+
+/// What every ticket of one batch shares in its timing.
+#[derive(Clone, Copy)]
+struct BatchFrame {
+    formed: Instant,
+    size: usize,
+    slots: usize,
+    tier: TierKind,
+}
+
+impl BatchFrame {
+    /// The timing of a request admitted at `enqueued` and completing now.
+    fn timing(&self, enqueued: Instant, service: Duration, retried: bool) -> RequestTiming {
+        RequestTiming {
+            queue: self.formed.duration_since(enqueued),
+            service,
+            total: enqueued.elapsed(),
+            batch_size: self.size,
+            batch_slots: self.slots,
+            tier: self.tier,
+            retried,
+        }
+    }
 }
 
 /// Per-batch counter accumulators, folded into [`ServiceStats`] under
@@ -304,14 +360,15 @@ struct BatchTally {
     kem_hash_jobs: u64,
     kem_dispatches: u64,
     kem_invalid: u64,
-    samples: Vec<(Duration, Duration, Duration)>,
+    /// Timings of the successful requests, for the latency histograms.
+    samples: Vec<RequestTiming>,
 }
 
-/// Routes `hash_batch`'s permutation calls to the pool, latching the
-/// first dispatch error instead of panicking: after an error every
-/// further permute is a no-op, `hash_batch` terminates normally (its
-/// schedule is driven by message lengths, not state contents) and the
-/// caller discards the garbage digests and handles the error.
+/// Routes `drive_stream`'s and `hash_batch`'s permutation calls to the
+/// pool, latching the first dispatch error instead of panicking: after
+/// an error every further permute is a no-op, the driver terminates
+/// normally (its schedule is driven by byte counts, not state contents)
+/// and the caller discards the garbage outputs and handles the error.
 struct SupervisedBackend<'a> {
     pool: &'a mut EnginePool,
     error: &'a mut Option<PoolError>,
@@ -332,6 +389,20 @@ impl PermutationBackend for SupervisedBackend<'_> {
         // packing against this.
         self.pool.capacity().max(1)
     }
+}
+
+/// Borrows a sponge lane as `drive_stream` items.
+fn stream_items(live: &mut [SpongeLive]) -> Vec<StreamItem<'_>> {
+    live.iter_mut()
+        .map(|op| StreamItem {
+            state: &mut op.state,
+            op: StreamOp {
+                absorb: &op.absorb,
+                finalize: op.finalize,
+                squeeze: &mut op.output,
+            },
+        })
+        .collect()
 }
 
 /// The scheduler thread: owns both execution tiers (the simulator
@@ -414,195 +485,108 @@ impl Scheduler {
         }
     }
 
-    /// Dispatches one closed batch: expires overdue requests, hashes the
-    /// one-shot requests in per-parameter groups, drives every live
-    /// stream operation through one shared `drive_stream` round (each
-    /// lane retrying once on a lost worker) and resolves every ticket.
+    /// Dispatches one closed batch: expires overdue requests, drives
+    /// every live hash and stream operation through one mixed-rate
+    /// `drive_stream` group, runs the KEM lane and resolves every
+    /// ticket.
     fn process_batch(&mut self, batch: Vec<Pending>) {
-        let formed = Instant::now();
-        let slots = self.pool.capacity().max(1);
-        let batch_size = batch.len();
+        let passes_before = self.pool.permutations();
+        let frame = BatchFrame {
+            formed: Instant::now(),
+            size: batch.len(),
+            slots: self.pool.capacity().max(1),
+            tier: self.tier.primary,
+        };
 
         // Deadline check happens exactly once, at batch formation: an
         // expired request completes as TimedOut without costing a slot.
         let mut timeouts = 0u64;
         let mut tally = BatchTally::default();
-        let mut hash_live: Vec<(HashRequest, Arc<TicketCell<Completion>>, Instant)> = Vec::new();
-        let mut stream_live: Vec<StreamPending> = Vec::new();
+        let mut sponge_live: Vec<SpongeLive> = Vec::new();
         let mut kem_live: Vec<KemLive> = Vec::new();
         for pending in batch {
-            let waited = formed.duration_since(pending.enqueued);
-            let expired_timing = RequestTiming {
-                queue: waited,
-                service: Duration::ZERO,
-                total: waited,
-                batch_size,
-                batch_slots: slots,
-                tier: self.tier.primary,
-                retried: false,
-            };
-            match pending.work {
-                Work::Hash { request, ticket } => {
-                    if request.deadline.is_some_and(|d| waited >= d) {
-                        ticket.complete(Completion {
-                            result: Err(RequestError::TimedOut),
-                            timing: expired_timing,
-                        });
-                        timeouts += 1;
-                    } else {
-                        hash_live.push((request, ticket, pending.enqueued));
-                    }
-                }
-                Work::Stream { request, ticket } => {
-                    if request.deadline.is_some_and(|d| waited >= d) {
-                        ticket.complete(StreamCompletion {
-                            result: Err(RequestError::TimedOut),
-                            timing: expired_timing,
-                        });
-                        timeouts += 1;
-                    } else {
-                        stream_live.push((request, ticket, pending.enqueued));
-                    }
-                }
+            let enqueued = pending.enqueued;
+            let waited = frame.formed.duration_since(enqueued);
+            let expired = |deadline: Option<Duration>| deadline.is_some_and(|d| waited >= d);
+            let (live, deadline) = match pending.work {
+                Work::Hash { request, ticket } => (
+                    SpongeLive {
+                        state: Box::new(SpongeState::new(request.params)),
+                        absorb: request.message,
+                        finalize: true,
+                        output: vec![0; request.output_len],
+                        reply: SpongeReply::Hash(ticket),
+                        enqueued,
+                    },
+                    request.deadline,
+                ),
+                Work::Stream { request, ticket } => (
+                    SpongeLive {
+                        state: request.state,
+                        absorb: request.absorb,
+                        finalize: request.finalize,
+                        output: vec![0; request.squeeze_len],
+                        reply: SpongeReply::Stream(ticket),
+                        enqueued,
+                    },
+                    request.deadline,
+                ),
                 Work::Kem { request, ticket } => {
-                    if request.deadline.is_some_and(|d| waited >= d) {
+                    let timing = frame.timing(enqueued, Duration::ZERO, false);
+                    if expired(request.deadline) {
                         ticket.complete(KemCompletion {
                             result: Err(KemRequestError::TimedOut),
-                            timing: expired_timing,
+                            timing,
                         });
                         timeouts += 1;
-                    } else {
-                        let tag = request.op.tag();
-                        // FIPS 203 input validation runs here, before
-                        // any hardware dispatch: a malformed key or
-                        // ciphertext is the caller's error and resolves
-                        // immediately without riding the pipeline.
-                        match KemJob::new(request.params, request.op) {
-                            Ok(job) => kem_live.push(KemLive {
-                                job,
-                                ticket,
-                                enqueued: pending.enqueued,
-                                tag,
-                                failed: None,
-                                retried: false,
-                            }),
-                            Err(error) => {
-                                ticket.complete(KemCompletion {
-                                    result: Err(KemRequestError::InvalidInput(error)),
-                                    timing: expired_timing,
-                                });
-                                tally.kem_invalid += 1;
-                            }
+                        continue;
+                    }
+                    let tag = request.op.tag();
+                    // FIPS 203 input validation runs here, before any
+                    // hardware dispatch: a malformed key or ciphertext is
+                    // the caller's error and resolves immediately
+                    // without riding the pipeline.
+                    match KemJob::new(request.params, request.op) {
+                        Ok(job) => kem_live.push(KemLive {
+                            job,
+                            ticket,
+                            enqueued,
+                            tag,
+                            failed: None,
+                            retried: false,
+                        }),
+                        Err(error) => {
+                            ticket.complete(KemCompletion {
+                                result: Err(KemRequestError::InvalidInput(error)),
+                                timing,
+                            });
+                            tally.kem_invalid += 1;
                         }
                     }
+                    continue;
                 }
+            };
+            if expired(deadline) {
+                let timing = frame.timing(enqueued, Duration::ZERO, false);
+                live.reply.fail(RequestError::TimedOut, timing);
+                timeouts += 1;
+            } else {
+                sponge_live.push(live);
             }
         }
 
-        // `hash_batch` takes one parameter set, so a mixed batch
-        // dispatches as one group per distinct SpongeParams (order
-        // preserved; in practice a handful of FIPS-202 variants).
-        let mut groups: Vec<(SpongeParams, Vec<usize>)> = Vec::new();
-        for (i, (request, _, _)) in hash_live.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(params, _)| *params == request.params)
-            {
-                Some((_, members)) => members.push(i),
-                None => groups.push((request.params, vec![i])),
-            }
-        }
-
-        for (params, members) in &groups {
-            let requests: Vec<BatchRequest<'_>> = members
-                .iter()
-                .map(|&i| BatchRequest::new(&hash_live[i].0.message, hash_live[i].0.output_len))
-                .collect();
-            let group_index = self.groups_dispatched;
-            self.groups_dispatched += 1;
-            let started = Instant::now();
-            let mut retried = false;
-            let mut outcome = self.tier_hash(self.tier.primary, *params, &requests);
-            if outcome.is_err() {
-                // Supervision: one retry on the survivors. The failed
-                // attempt left only scratch states dirty — requests are
-                // re-hashed from their original messages.
-                retried = true;
-                tally.retries += 1;
-                outcome = self.tier_hash(self.tier.primary, *params, &requests);
-            }
-            let service = started.elapsed();
-            // The differential oracle: a sampled group is re-hashed
-            // through the non-primary tier and diffed digest by digest.
-            // Mirroring is best-effort — a mirror-side pool failure
-            // skips the sample rather than failing served requests.
-            if let Ok(digests) = &outcome {
-                if self.tier.mirrors(group_index) {
-                    if let Ok(mirror) =
-                        self.tier_hash(self.tier.primary.other(), *params, &requests)
-                    {
-                        tally.mirrored += requests.len() as u64;
-                        tally.mismatches +=
-                            digests.iter().zip(&mirror).filter(|(a, b)| a != b).count() as u64;
-                    }
-                }
-            }
-            match outcome {
-                Ok(digests) => {
-                    for (&i, digest) in members.iter().zip(digests) {
-                        let (_, ticket, enqueued) = &hash_live[i];
-                        let queue = formed.duration_since(*enqueued);
-                        let total = enqueued.elapsed();
-                        tally.samples.push((queue, service, total));
-                        ticket.complete(Completion {
-                            result: Ok(digest),
-                            timing: RequestTiming {
-                                queue,
-                                service,
-                                total,
-                                batch_size,
-                                batch_slots: slots,
-                                tier: self.tier.primary,
-                                retried,
-                            },
-                        });
-                    }
-                    tally.completed += members.len() as u64;
-                }
-                Err(error) => {
-                    for &i in members {
-                        let (_, ticket, enqueued) = &hash_live[i];
-                        ticket.complete(Completion {
-                            result: Err(RequestError::WorkerFailure {
-                                error: error.clone(),
-                            }),
-                            timing: RequestTiming {
-                                queue: formed.duration_since(*enqueued),
-                                service,
-                                total: enqueued.elapsed(),
-                                batch_size,
-                                batch_slots: slots,
-                                tier: self.tier.primary,
-                                retried,
-                            },
-                        });
-                    }
-                    tally.failures += members.len() as u64;
-                }
-            }
-        }
-
-        if !stream_live.is_empty() {
-            self.dispatch_streams(stream_live, formed, batch_size, slots, &mut tally);
+        if !sponge_live.is_empty() {
+            self.dispatch_sponges(sponge_live, frame, &mut tally);
         }
 
         if !kem_live.is_empty() {
-            self.dispatch_kems(kem_live, formed, batch_size, slots, &mut tally);
+            self.dispatch_kems(kem_live, frame, &mut tally);
         }
 
         let mut stats = self.shared.stats.lock().expect("stats lock");
         stats.batches += 1;
-        stats.fill_sum += batch_size as f64 / slots as f64;
+        stats.fill_sum += frame.size as f64 / frame.slots as f64;
+        stats.simulator_passes += self.pool.permutations() - passes_before;
         stats.timeouts += timeouts;
         stats.retries += tally.retries;
         stats.completed += tally.completed;
@@ -622,133 +606,117 @@ impl Scheduler {
         stats.kem_hash_jobs += tally.kem_hash_jobs;
         stats.kem_dispatches += tally.kem_dispatches;
         stats.kem_invalid += tally.kem_invalid;
-        for (queue, service, total) in tally.samples {
-            stats.queue_wait.record_duration(queue);
-            stats.service_time.record_duration(service);
-            stats.e2e.record_duration(total);
+        for timing in tally.samples {
+            stats.queue_wait.record_duration(timing.queue);
+            stats.service_time.record_duration(timing.service);
+            stats.e2e.record_duration(timing.total);
         }
         stats.alive_workers = self.pool.alive_workers();
         stats.batch_slots = self.pool.capacity().max(1);
     }
 
-    /// The streaming lane of one batch: every live stream operation
-    /// advances through a single shared [`drive_stream`] round on the
-    /// primary tier. Operations are rate-agnostic (the permutation does
-    /// not care which rate each state uses), so the whole lane forms one
-    /// dispatch group regardless of how many algorithms it mixes.
+    /// The sponge lane of one batch: every live one-shot hash and stream
+    /// operation advances through a single shared [`drive_stream`] group
+    /// on the primary tier. The permutation does not care which rate
+    /// each state uses, so the group mixes every `SpongeParams` of the
+    /// batch and packs up to SN states into each pass.
     ///
-    /// States are snapshotted before dispatch: a failed attempt leaves
-    /// garbage mid-stream, so the retry restores every state first, and
-    /// the mirror oracle replays the same snapshots through the other
-    /// tier, diffing both the squeezed bytes and the advanced states.
-    fn dispatch_streams(
+    /// The group has one supervision path. States are snapshotted
+    /// before dispatch (a one-shot hash's snapshot is its fresh state):
+    /// a failed attempt leaves garbage mid-stream, so the single retry
+    /// restores every state first. The mirror oracle replays the same
+    /// snapshots through the other tier, diffing both the squeezed bytes
+    /// and the advanced states.
+    fn dispatch_sponges(
         &mut self,
-        mut stream_live: Vec<StreamPending>,
-        formed: Instant,
-        batch_size: usize,
-        slots: usize,
+        mut live: Vec<SpongeLive>,
+        frame: BatchFrame,
         tally: &mut BatchTally,
     ) {
-        let snapshots: Vec<SpongeState> = stream_live
-            .iter()
-            .map(|(request, _, _)| (*request.state).clone())
-            .collect();
-        let mut outputs: Vec<Vec<u8>> = stream_live
-            .iter()
-            .map(|(request, _, _)| vec![0u8; request.squeeze_len])
-            .collect();
+        let snapshots: Vec<SpongeState> = live.iter().map(|op| (*op.state).clone()).collect();
         let group_index = self.groups_dispatched;
         self.groups_dispatched += 1;
         let started = Instant::now();
         let mut retried = false;
-        let mut outcome = self.tier_stream(self.tier.primary, &mut stream_live, &mut outputs);
+        let mut outcome = self.drive_tier(self.tier.primary, &mut stream_items(&mut live));
         if outcome.is_err() {
             retried = true;
             tally.retries += 1;
-            for ((request, _, _), snapshot) in stream_live.iter_mut().zip(&snapshots) {
-                *request.state = snapshot.clone();
+            // The retry's squeeze rewrites every output byte; only the
+            // states need restoring.
+            for (op, snapshot) in live.iter_mut().zip(&snapshots) {
+                *op.state = snapshot.clone();
             }
-            for output in &mut outputs {
-                output.fill(0);
-            }
-            outcome = self.tier_stream(self.tier.primary, &mut stream_live, &mut outputs);
+            outcome = self.drive_tier(self.tier.primary, &mut stream_items(&mut live));
         }
         let service = started.elapsed();
         if outcome.is_ok() && self.tier.mirrors(group_index) {
-            let mut mirror_states = snapshots;
-            let mut mirror_outputs: Vec<Vec<u8>> = stream_live
-                .iter()
-                .map(|(request, _, _)| vec![0u8; request.squeeze_len])
+            let mut states = snapshots;
+            let mut outputs: Vec<Vec<u8>> =
+                live.iter().map(|op| vec![0; op.output.len()]).collect();
+            let mut items: Vec<StreamItem<'_>> = states
+                .iter_mut()
+                .zip(&live)
+                .zip(&mut outputs)
+                .map(|((state, op), squeeze)| StreamItem {
+                    state,
+                    op: StreamOp {
+                        absorb: &op.absorb,
+                        finalize: op.finalize,
+                        squeeze,
+                    },
+                })
                 .collect();
-            let mirror_outcome = {
-                let mut items: Vec<StreamItem<'_>> = mirror_states
-                    .iter_mut()
-                    .zip(stream_live.iter())
-                    .zip(mirror_outputs.iter_mut())
-                    .map(|((state, (request, _, _)), output)| StreamItem {
-                        state,
-                        op: StreamOp {
-                            absorb: &request.absorb,
-                            finalize: request.finalize,
-                            squeeze: output,
-                        },
-                    })
-                    .collect();
-                self.drive_tier(self.tier.primary.other(), &mut items)
-            };
-            if mirror_outcome.is_ok() {
-                tally.mirrored += stream_live.len() as u64;
-                for (i, (request, _, _)) in stream_live.iter().enumerate() {
-                    if *request.state != mirror_states[i] || outputs[i] != mirror_outputs[i] {
-                        tally.mismatches += 1;
-                    }
-                }
+            // Mirroring is best-effort: a mirror-side pool failure skips
+            // the sample rather than failing served requests.
+            if self
+                .drive_tier(self.tier.primary.other(), &mut items)
+                .is_ok()
+            {
+                tally.mirrored += live.len() as u64;
+                tally.mismatches += live
+                    .iter()
+                    .zip(states.iter().zip(&outputs))
+                    .filter(|(op, (state, output))| *op.state != **state || op.output != **output)
+                    .count() as u64;
             }
         }
         match outcome {
             Ok(()) => {
-                for ((request, ticket, enqueued), output) in stream_live.into_iter().zip(outputs) {
-                    let queue = formed.duration_since(enqueued);
-                    let total = enqueued.elapsed();
-                    tally.samples.push((queue, service, total));
+                for op in live {
+                    let timing = frame.timing(op.enqueued, service, retried);
+                    tally.samples.push(timing);
                     tally.completed += 1;
-                    tally.stream_ops += 1;
-                    tally.stream_absorbed += request.absorb.len() as u64;
-                    tally.stream_squeezed += output.len() as u64;
-                    ticket.complete(StreamCompletion {
-                        result: Ok(StreamOutput {
-                            state: request.state,
-                            output,
+                    match op.reply {
+                        SpongeReply::Hash(ticket) => ticket.complete(Completion {
+                            result: Ok(op.output),
+                            timing,
                         }),
-                        timing: RequestTiming {
-                            queue,
-                            service,
-                            total,
-                            batch_size,
-                            batch_slots: slots,
-                            tier: self.tier.primary,
-                            retried,
-                        },
-                    });
+                        SpongeReply::Stream(ticket) => {
+                            tally.stream_ops += 1;
+                            tally.stream_absorbed += op.absorb.len() as u64;
+                            tally.stream_squeezed += op.output.len() as u64;
+                            ticket.complete(StreamCompletion {
+                                result: Ok(StreamOutput {
+                                    state: op.state,
+                                    output: op.output,
+                                }),
+                                timing,
+                            });
+                        }
+                    }
                 }
             }
             Err(error) => {
-                for (_, ticket, enqueued) in stream_live {
-                    ticket.complete(StreamCompletion {
-                        result: Err(RequestError::WorkerFailure {
-                            error: error.clone(),
-                        }),
-                        timing: RequestTiming {
-                            queue: formed.duration_since(enqueued),
-                            service,
-                            total: enqueued.elapsed(),
-                            batch_size,
-                            batch_slots: slots,
-                            tier: self.tier.primary,
-                            retried,
-                        },
-                    });
+                for op in live {
                     tally.failures += 1;
+                    let timing = frame.timing(op.enqueued, service, retried);
+                    op.reply.fail(
+                        RequestError::WorkerFailure {
+                            error: error.clone(),
+                        },
+                        timing,
+                    );
                 }
             }
         }
@@ -772,9 +740,7 @@ impl Scheduler {
     fn dispatch_kems(
         &mut self,
         mut kem_live: Vec<KemLive>,
-        formed: Instant,
-        batch_size: usize,
-        slots: usize,
+        frame: BatchFrame,
         tally: &mut BatchTally,
     ) {
         let started = Instant::now();
@@ -873,20 +839,10 @@ impl Scheduler {
 
         let service = started.elapsed();
         for live in kem_live {
-            let queue = formed.duration_since(live.enqueued);
-            let total = live.enqueued.elapsed();
-            let timing = RequestTiming {
-                queue,
-                service,
-                total,
-                batch_size,
-                batch_slots: slots,
-                tier: self.tier.primary,
-                retried: live.retried,
-            };
+            let timing = frame.timing(live.enqueued, service, live.retried);
             match live.failed {
                 None => {
-                    tally.samples.push((queue, service, total));
+                    tally.samples.push(timing);
                     tally.completed += 1;
                     match live.tag {
                         "keygen" => tally.kem_keygen += 1,
@@ -909,37 +865,11 @@ impl Scheduler {
         }
     }
 
-    /// One `drive_stream` attempt over the lane's live operations on the
-    /// chosen tier, writing squeezed bytes into `outputs`.
-    fn tier_stream(
-        &mut self,
-        tier: TierKind,
-        stream_live: &mut [StreamPending],
-        outputs: &mut [Vec<u8>],
-    ) -> Result<(), PoolError> {
-        let mut items: Vec<StreamItem<'_>> = stream_live
-            .iter_mut()
-            .zip(outputs.iter_mut())
-            .map(|(pending, output)| {
-                let request = &mut pending.0;
-                StreamItem {
-                    state: &mut request.state,
-                    op: StreamOp {
-                        absorb: &request.absorb,
-                        finalize: request.finalize,
-                        squeeze: output,
-                    },
-                }
-            })
-            .collect();
-        self.drive_tier(tier, &mut items)
-    }
-
-    /// Drives pre-built stream items through one tier: supervised on the
+    /// One `drive_stream` attempt on the chosen tier: supervised on the
     /// simulator pool (errors surface for the retry path), infallible on
-    /// the native kernel — where the corruption drill flips squeezed
-    /// bytes, exactly as it flips one-shot digests, so the stream mirror
-    /// oracle has something to catch.
+    /// the native kernel — where the corruption drill flips the first
+    /// squeezed byte of every operation, so the mirror oracle has
+    /// something to catch.
     fn drive_tier(
         &mut self,
         tier: TierKind,
