@@ -1,4 +1,4 @@
-//! Backend comparison: reference vs interpreted vs compiled
+//! Backend comparison: reference vs stepped (interpreted) vs compiled
 //! single-engine vs pooled vs the host-native lane-parallel kernel at
 //! every compiled width.
 //!
@@ -36,7 +36,7 @@
 //! additionally pins the compiled tier's contract: one E64/LMUL=8 pass
 //! costs exactly 1,909 cycles, the compiled and interpreted tiers agree
 //! on outputs and critical path, and the compiled tier's device-resident
-//! wall speedup over the fused interpreter stays at or above 3×.
+//! wall speedup over the per-instruction stepper stays at or above 3×.
 //!
 //! Run with: `cargo run --release -p krv-bench --bin backends`
 
@@ -61,9 +61,9 @@ const CLOCK_HZ: f64 = 100e6;
 /// just agreement with the committed JSON.
 const EXPECTED_CYCLES_PER_PASS: u64 = 1909;
 
-/// `--check` floor for the compiled tier's wall speedup over the fused
-/// interpreter, measured device-resident (kernel passes only, no host
-/// staging) so the ratio is robust to host load.
+/// `--check` floor for the compiled tier's wall speedup over the
+/// per-instruction stepper, measured device-resident (kernel passes
+/// only, no host staging) so the ratio is robust to host load.
 const COMPILED_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Single-engine wall-clock permutations/sec of the seed revision's
@@ -299,11 +299,11 @@ fn main() -> std::io::Result<()> {
         simulated_perms_per_sec: None,
     });
 
-    // The fused interpreter with the compiled tier switched off — the
-    // engine every revision before the compiled tier ran, and the
-    // denominator of `compiled_wall_speedup_vs_interpreted`. Its
-    // simulated figure must equal the compiled rows': the tier changes
-    // wall time only, never modelled cycles.
+    // The per-instruction stepper, i.e. the compiled tier switched off
+    // (`KRV_COMPILED=0`) — the denominator of
+    // `compiled_wall_speedup_vs_interpreted`. Its simulated figure must
+    // equal the compiled rows': the tier changes wall time only, never
+    // modelled cycles.
     let mut interp = CyclesBackend::new(VectorKeccakEngine::with_compiled(
         KernelKind::E64Lmul8,
         SN,
@@ -319,7 +319,7 @@ fn main() -> std::io::Result<()> {
     rows.push(Row {
         name: "interpreted",
         detail: format!(
-            "{}, SN = {SN}, fused interpreter (KRV_COMPILED=0)",
+            "{}, SN = {SN}, per-instruction stepper (KRV_COMPILED=0)",
             KernelKind::E64Lmul8.label()
         ),
         wall_perms_per_sec: interp_wall,
@@ -473,7 +473,7 @@ fn main() -> std::io::Result<()> {
         "single-engine wall speedup vs seed interpreter ({SEED_SINGLE_ENGINE_WALL:.0} perm/s): {wall_speedup_vs_seed:.2}x"
     );
     println!(
-        "compiled tier wall speedup vs fused interpreter: {compiled_wall_speedup:.2}x (floor {COMPILED_SPEEDUP_FLOOR:.1}x)"
+        "compiled tier wall speedup vs stepper: {compiled_wall_speedup:.2}x (floor {COMPILED_SPEEDUP_FLOOR:.1}x)"
     );
     println!(
         "best native wall speedup vs sequential reference: {native_wall_speedup_vs_reference:.2}x"
@@ -502,7 +502,7 @@ fn run_check(
     let out = hash_batch(params, &mut engine, requests);
     assert_eq!(out, expected, "single-engine outputs diverged");
 
-    // The fused interpreter must agree with the compiled tier on both
+    // The stepper must agree with the compiled tier on both
     // outputs and the deterministic critical path: the compiled tier is
     // a wall-clock optimisation with bit-identical simulated timing.
     let mut interp = CyclesBackend::new(VectorKeccakEngine::with_compiled(

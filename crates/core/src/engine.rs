@@ -17,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The compiled tier (see [`krv_vproc::CompiledProgram`]) is on by
 /// default; setting `KRV_COMPILED=0` in the environment forces the
-/// interpreted fused path everywhere, as an escape hatch for debugging
-/// or A/B measurement. The variable is read once per process.
+/// per-instruction stepper ([`krv_vproc::Processor::step`]) everywhere,
+/// as an escape hatch for debugging or A/B measurement. The variable is read once per process.
 pub fn compiled_default() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| std::env::var("KRV_COMPILED").map_or(true, |v| v != "0"))
@@ -156,7 +156,7 @@ impl VectorKeccakEngine {
     /// Creates an engine with the execution tier pinned explicitly:
     /// `compiled = true` dispatches through the shared
     /// [`krv_vproc::CompiledProgram`] of the cached kernel, `false`
-    /// forces the interpreted fused path. [`VectorKeccakEngine::new`]
+    /// forces the per-instruction stepper. [`VectorKeccakEngine::new`]
     /// picks the process default (see [`compiled_default`]).
     ///
     /// # Panics

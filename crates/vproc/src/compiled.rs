@@ -1,27 +1,26 @@
 //! The compiled-kernel execution tier: straight-line regions lowered to
 //! specialized native micro-ops over the flat register file.
 //!
-//! The interpreted fused path ([`Processor::run`](crate::Processor::run)
-//! with fusion on) still dispatches every instruction of a
-//! [`FusedBlock`](crate::decoded::FusedBlock) through the full
-//! [`Instruction`] match, re-resolves register groups to word ranges,
-//! and re-proves operand aliasing on every execution — and it breaks at
-//! every `vsetvli` and branch, so a Keccak round costs several block
-//! dispatches plus a handful of individually stepped instructions.
+//! The reference path, [`Processor::step`](crate::Processor::step),
+//! dispatches every instruction through the full [`Instruction`]
+//! match, re-resolves register groups to word ranges and re-proves
+//! operand aliasing on every execution. It is also the only other
+//! path: the simulator has exactly two, and every region this tier
+//! refuses runs on the stepper.
 //!
 //! [`CompiledProgram`] instead lowers the **maximal straight-line
 //! region** anchored at a PC, per *entry configuration* (`BlockCtx`),
 //! into a flat sequence of `Op` micro-ops whose word indices, rotation
 //! tables, π scatter segments and folded immediates are resolved at
-//! compile time. Regions extend across everything the interpreter's
-//! fusion refuses:
+//! compile time. Regions extend across the points a naive basic-block
+//! split would stop at:
 //!
 //! * **`vsetvli`** stays inside the region. The lowering predicts the
 //!   granted VL/`vtype` from the AVL register value observed at compile
 //!   time and lowers downstream ops under the new configuration; at run
 //!   time the op re-executes the real `vsetvli` and *guards* the
 //!   prediction — on mismatch the region retires its exact prefix
-//!   (including the `vsetvli`) and hands back to the interpreter, so a
+//!   (including the `vsetvli`) and hands back to the stepper, so a
 //!   stale prediction costs speed, never correctness.
 //! * **Conditional branches** terminate a region as a compiled op that
 //!   resolves the direction, commits the matching (taken/not-taken)
@@ -30,15 +29,15 @@
 //! * **Unlowerable instructions** (masked ops, partial group overlap,
 //!   configurations the executors trap on, jumps, halts) *truncate* the
 //!   region rather than refusing it: the prefix still runs compiled and
-//!   the interpreter handles the rest. Only a region whose very first
+//!   the stepper handles the rest. Only a region whose very first
 //!   instruction is unlowerable is refused outright.
 //!
 //! Three invariants make the tier an execution fast path only, never a
 //! semantic change:
 //!
 //! * **Refusal, not approximation** — any instruction whose compiled
-//!   form cannot be proven bit-identical to the interpreter ends the
-//!   region, and the interpreter reproduces the exact trap, panic or
+//!   form cannot be proven bit-identical to the stepper ends the
+//!   region, and the stepper reproduces the exact trap, panic or
 //!   masked behaviour from the truncation point.
 //! * **Cycle ledger** — each region carries per-op prefix sums of the
 //!   member costs under its configuration; a mid-region trap or guard
@@ -628,7 +627,7 @@ impl CompiledProgram {
     }
 
     /// Number of (block, configuration) pairs refused so far (these run
-    /// on the interpreted fused path).
+    /// on the stepper).
     pub fn refused_blocks(&self) -> usize {
         self.lock().values().filter(|v| v.is_none()).count()
     }
@@ -1859,7 +1858,7 @@ mod tests {
     const XREGS: [u32; 32] = [0; 32];
 
     #[test]
-    fn compiled_cost_matches_the_fused_block() {
+    fn compiled_cost_matches_the_member_sum() {
         let v = VReg::from_index;
         let prog = program(&[
             Instruction::addi(XReg::X5, XReg::X5, 1),
@@ -1872,13 +1871,19 @@ mod tests {
                 vm: true,
             },
         ]);
-        let block = prog.fused_block_at(0).expect("fuses");
         let ctx = ctx(20, 20, Sew::E64, Lmul::M1);
+        let timing = TimingContext {
+            branch_taken: false,
+            active_groups: ctx.groups(),
+            vl: ctx.vl,
+        };
+        let member_sum: u64 = (0..prog.len())
+            .map(|i| prog.get(i).unwrap().timing.cost(timing))
+            .sum();
         let compiled = compile_region(&prog, 0, ctx, geometry(20), &XREGS).expect("compiles");
         assert_eq!(
-            compiled.total_cycles,
-            block.cost(ctx.groups(), ctx.vl),
-            "ledger must reproduce the interpreted block cost"
+            compiled.total_cycles, member_sum,
+            "ledger must reproduce the stepped member costs"
         );
         assert_eq!(compiled.total_vector, 2);
         assert_eq!(compiled.len, 3);

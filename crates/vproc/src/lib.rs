@@ -44,7 +44,7 @@ pub mod vector;
 
 pub use compiled::CompiledProgram;
 pub use config::{Elen, ProcessorConfig};
-pub use decoded::{DecodedInstr, DecodedProgram, FusedBlock, TimingClass};
+pub use decoded::{DecodedInstr, DecodedProgram, TimingClass};
 pub use memory::DataMemory;
 pub use processor::{HaltCause, Processor, RunSummary};
 pub use timing::TimingModel;

@@ -354,7 +354,6 @@ fn compiled_trap_retires_the_same_prefix() {
 
     let mut stepped = Processor::new(ProcessorConfig::elen64(10));
     stepped.load_program(program.instructions());
-    stepped.set_fusion(false);
     let stepped_err = stepped.run(100_000).unwrap_err();
 
     assert_eq!(compiled_err, stepped_err);
@@ -366,7 +365,7 @@ fn compiled_trap_retires_the_same_prefix() {
 fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
     // Total cost of the θ loop, measured once on the stepper.
     let total = {
-        let mut cpu = theta_processor(|p| p.set_fusion(false));
+        let mut cpu = theta_processor(|_| {});
         cpu.run(100_000).expect("loop halts");
         cpu.cycles()
     };
@@ -376,7 +375,7 @@ fn compiled_budget_expiry_is_bit_identical_at_every_limit() {
     for limit in 0..=total {
         let mut compiled = theta_processor(|p| p.set_compiled(true));
         let compiled_result = compiled.run(limit).map(|_| ());
-        let mut stepped = theta_processor(|p| p.set_fusion(false));
+        let mut stepped = theta_processor(|_| {});
         let stepped_result = stepped.run(limit).map(|_| ());
         assert_eq!(compiled_result, stepped_result, "limit {limit}");
         assert_same_state(&format!("budget limit {limit}"), &compiled, &stepped);
@@ -394,7 +393,7 @@ fn compiled_run_until_pc_stops_at_every_boundary() {
         let target = (target_index * 4) as u32;
         let mut compiled = theta_processor(|p| p.set_compiled(true));
         let compiled_result = compiled.run_until_pc(target, 100_000);
-        let mut stepped = theta_processor(|p| p.set_fusion(false));
+        let mut stepped = theta_processor(|_| {});
         let stepped_result = stepped.run_until_pc(target, 100_000);
         assert_eq!(compiled_result, stepped_result, "target {target:#x}");
         assert_eq!(compiled.pc(), target, "stops exactly at {target:#x}");
