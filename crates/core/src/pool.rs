@@ -219,9 +219,10 @@ fn spawn_worker(kind: KernelKind, sn: usize, compiled: bool) -> Worker {
 /// dispatching passes across `W` persistent worker threads.
 ///
 /// The pool implements [`PermutationBackend`] with
-/// `parallel_states = W × SN`, so a `BatchSponge` or
-/// [`hash_batch`](krv_sha3::hash_batch) scheduler sized against a pool
-/// automatically packs enough states to keep every engine busy.
+/// `parallel_states = W × SN`. A [`drive_stream`](krv_sha3::drive_stream)
+/// round — and so every [`hash_batch`](krv_sha3::hash_batch) — hands it
+/// all stalled states in one call, which it splits into `SN`-wide passes
+/// across its engines.
 ///
 /// # Example
 ///

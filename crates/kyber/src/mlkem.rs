@@ -9,7 +9,8 @@
 //! (NTT, module arithmetic, encoding) that leads to the next stage. A
 //! driver that holds many concurrent jobs (the `krv-service` scheduler)
 //! can therefore merge the pending hash jobs of *all* of them into
-//! shared SN-wide [`hash_batch`] passes — the cross-request batching the
+//! shared SN-wide batched passes (one `krv_sha3::drive_stream` group per
+//! sponge parameter set) — the cross-request batching the
 //! paper's conclusion asks for — while a single-caller driver
 //! ([`run_kem_job`]) simply loops one job to completion on a local
 //! backend.
@@ -440,7 +441,7 @@ struct NoiseVectors {
 ///
 /// This shape is what lets a batching scheduler overlap *many* KEM
 /// operations: all concurrent jobs' pending lists are merged into shared
-/// per-parameter `hash_batch` passes, and one job's CPU work interleaves
+/// per-parameter batched passes, and one job's CPU work interleaves
 /// with other jobs' Keccak work instead of serializing behind it.
 #[derive(Debug, Clone)]
 pub struct KemJob {

@@ -272,7 +272,7 @@ impl StreamRequest {
 /// operation of a batch in lockstep, packing the pending Keccak jobs of
 /// *all* of them — matrix-expansion SHAKE128 squeezes, CBD PRFs, the
 /// H/G/J hashes of the FO transform — into shared per-parameter-set
-/// `hash_batch` dispatches. Concurrent KEM clients therefore fill
+/// [`krv_sha3::drive_stream`] dispatch groups. Concurrent KEM clients therefore fill
 /// engine slots a single operation could not: the cross-request
 /// batching this crate exists for, applied to FIPS 203.
 ///
@@ -965,6 +965,43 @@ mod tests {
         assert_eq!(report.kem_invalid, 0);
         assert!(report.kem_dispatches > 0);
         assert!(report.kem_hash_jobs >= report.kem_dispatches);
+    }
+
+    #[test]
+    fn kem_batch_survives_a_worker_killed_mid_dispatch() {
+        // slots = 2 workers × SN 2 = 4: the batch closes with all four
+        // keygens, whose first round is one SHA3-512 `G` group of four
+        // states spanning both workers, so the killed one is discovered
+        // mid-dispatch and the group retries on the survivor.
+        let service = Service::start(ServiceConfig {
+            sn: 2,
+            workers: 2,
+            max_wait: Duration::from_secs(2),
+            ..ServiceConfig::default()
+        });
+        service.inject_worker_failure(1);
+        let params = KyberParams::ALL[0];
+        let tickets: Vec<KemTicket> = (0..4u8)
+            .map(|i| service.submit_kem(KemRequest::keygen(params, [i; 32], [!i; 32])))
+            .collect::<Result<_, _>>()
+            .expect("admitted");
+        for (i, ticket) in (0..4u8).zip(tickets) {
+            let completion = ticket.wait();
+            let mut direct = krv_native::NativeBackend::new();
+            let (ek, dk) = krv_kyber::ml_kem_keygen(params, &[i; 32], &[!i; 32], &mut direct);
+            let expected = krv_kyber::KemResult::Keygen { ek, dk };
+            assert_eq!(
+                completion.result,
+                Ok(expected),
+                "keygen #{i} after the retry"
+            );
+            assert!(completion.timing.retried, "keygen #{i} rode the retry");
+        }
+        let report = service.shutdown();
+        assert_eq!(report.kem_keygen, 4);
+        assert_eq!(report.worker_failures, 0);
+        assert!(report.retries >= 1, "the killed group retried");
+        assert_eq!(report.alive_workers, 1);
     }
 
     #[test]

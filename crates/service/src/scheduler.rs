@@ -14,12 +14,9 @@ use crate::tier::{TierKind, TierPolicy};
 use crate::{HashRequest, KemRequest, ServiceConfig, StreamRequest, SubmitError};
 use krv_core::{EnginePool, PoolError};
 use krv_keccak::KeccakState;
-use krv_kyber::KemJob;
+use krv_kyber::{KemJob, KemResult};
 use krv_native::NativeBackend;
-use krv_sha3::{
-    drive_stream, hash_batch, BatchRequest, PermutationBackend, SpongeParams, SpongeState,
-    StreamItem, StreamOp,
-};
+use krv_sha3::{drive_stream, PermutationBackend, SpongeParams, SpongeState, StreamItem, StreamOp};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -29,8 +26,9 @@ use std::time::{Duration, Instant};
 /// session operation, and one ML-KEM operation. All ride the same queue
 /// and micro-batches. Hashes and stream operations of a batch dispatch
 /// together as one mixed-rate `drive_stream` group (a hash is a stream
-/// operation on a fresh state); KEM operations run the staged pipeline.
-/// They differ in what their tickets carry back.
+/// operation on a fresh state); KEM operations run the staged pipeline,
+/// whose rounds dispatch through the same supervised group path. They
+/// differ in what their tickets carry back.
 #[derive(Debug)]
 pub(crate) enum Work {
     Hash {
@@ -307,15 +305,21 @@ struct KemLive {
     job: KemJob,
     ticket: Arc<TicketCell<KemCompletion>>,
     enqueued: Instant,
-    /// The operation kind (`keygen` / `encaps` / `decaps`), captured
-    /// before the job consumed the op, for per-kind counters.
-    tag: &'static str,
     /// A latched stage-dispatch failure: the job stops advancing and
     /// completes as [`KemRequestError::WorkerFailure`] after the lane
     /// drains.
     failed: Option<PoolError>,
     /// Whether any dispatch group this job rode in was retried.
     retried: bool,
+}
+
+/// How one supervised dispatch group went.
+struct GroupRun {
+    /// `Err` once the retry failed too.
+    outcome: Result<(), PoolError>,
+    retried: bool,
+    /// Primary-tier time, retry included, mirror sample excluded.
+    service: Duration,
 }
 
 /// What every ticket of one batch shares in its timing.
@@ -364,31 +368,44 @@ struct BatchTally {
     samples: Vec<RequestTiming>,
 }
 
-/// Routes `drive_stream`'s and `hash_batch`'s permutation calls to the
-/// pool, latching the first dispatch error instead of panicking: after
-/// an error every further permute is a no-op, the driver terminates
-/// normally (its schedule is driven by byte counts, not state contents)
-/// and the caller discards the garbage outputs and handles the error.
+/// Routes `drive_stream`'s permutation calls to the pool, latching the
+/// first dispatch error instead of panicking: after an error every
+/// further permute is a no-op, the driver terminates normally (its
+/// schedule is driven by byte counts, not state contents) and the
+/// caller discards the garbage outputs and handles the error.
 struct SupervisedBackend<'a> {
     pool: &'a mut EnginePool,
-    error: &'a mut Option<PoolError>,
+    error: Option<PoolError>,
 }
 
 impl PermutationBackend for SupervisedBackend<'_> {
     fn permute_all(&mut self, states: &mut [KeccakState]) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(error) = self.pool.permute_slice(states) {
-            *self.error = Some(error);
+        if self.error.is_none() {
+            self.error = self.pool.permute_slice(states).err();
         }
     }
+}
 
-    fn parallel_states(&self) -> usize {
-        // Never 0, even with every worker dead: `hash_batch` sizes its
-        // packing against this.
-        self.pool.capacity().max(1)
-    }
+/// Pairs each state with its absorb bytes, finalize flag and squeeze
+/// buffer as `drive_stream` items.
+fn zip_items<'a>(
+    states: &'a mut [SpongeState],
+    ops: impl IntoIterator<Item = (&'a [u8], bool)>,
+    outputs: &'a mut [Vec<u8>],
+) -> Vec<StreamItem<'a>> {
+    states
+        .iter_mut()
+        .zip(ops)
+        .zip(outputs)
+        .map(|((state, (absorb, finalize)), squeeze)| StreamItem {
+            state,
+            op: StreamOp {
+                absorb,
+                finalize,
+                squeeze,
+            },
+        })
+        .collect()
 }
 
 /// Borrows a sponge lane as `drive_stream` items.
@@ -541,7 +558,6 @@ impl Scheduler {
                         timeouts += 1;
                         continue;
                     }
-                    let tag = request.op.tag();
                     // FIPS 203 input validation runs here, before any
                     // hardware dispatch: a malformed key or ciphertext is
                     // the caller's error and resolves immediately
@@ -551,7 +567,6 @@ impl Scheduler {
                             job,
                             ticket,
                             enqueued,
-                            tag,
                             failed: None,
                             retried: false,
                         }),
@@ -619,104 +634,47 @@ impl Scheduler {
     /// operation advances through a single shared [`drive_stream`] group
     /// on the primary tier. The permutation does not care which rate
     /// each state uses, so the group mixes every `SpongeParams` of the
-    /// batch and packs up to SN states into each pass.
-    ///
-    /// The group has one supervision path. States are snapshotted
-    /// before dispatch (a one-shot hash's snapshot is its fresh state):
-    /// a failed attempt leaves garbage mid-stream, so the single retry
-    /// restores every state first. The mirror oracle replays the same
-    /// snapshots through the other tier, diffing both the squeezed bytes
-    /// and the advanced states.
+    /// batch and packs up to SN states into each pass. A one-shot hash's
+    /// snapshot in [`Self::dispatch_group`] is its fresh state.
     fn dispatch_sponges(
         &mut self,
         mut live: Vec<SpongeLive>,
         frame: BatchFrame,
         tally: &mut BatchTally,
     ) {
-        let snapshots: Vec<SpongeState> = live.iter().map(|op| (*op.state).clone()).collect();
-        let group_index = self.groups_dispatched;
-        self.groups_dispatched += 1;
-        let started = Instant::now();
-        let mut retried = false;
-        let mut outcome = self.drive_tier(self.tier.primary, &mut stream_items(&mut live));
-        if outcome.is_err() {
-            retried = true;
-            tally.retries += 1;
-            // The retry's squeeze rewrites every output byte; only the
-            // states need restoring.
-            for (op, snapshot) in live.iter_mut().zip(&snapshots) {
-                *op.state = snapshot.clone();
+        let GroupRun {
+            outcome,
+            retried,
+            service,
+        } = self.dispatch_group(&mut stream_items(&mut live), tally);
+        for op in live {
+            let timing = frame.timing(op.enqueued, service, retried);
+            if let Err(error) = &outcome {
+                tally.failures += 1;
+                let error = RequestError::WorkerFailure {
+                    error: error.clone(),
+                };
+                op.reply.fail(error, timing);
+                continue;
             }
-            outcome = self.drive_tier(self.tier.primary, &mut stream_items(&mut live));
-        }
-        let service = started.elapsed();
-        if outcome.is_ok() && self.tier.mirrors(group_index) {
-            let mut states = snapshots;
-            let mut outputs: Vec<Vec<u8>> =
-                live.iter().map(|op| vec![0; op.output.len()]).collect();
-            let mut items: Vec<StreamItem<'_>> = states
-                .iter_mut()
-                .zip(&live)
-                .zip(&mut outputs)
-                .map(|((state, op), squeeze)| StreamItem {
-                    state,
-                    op: StreamOp {
-                        absorb: &op.absorb,
-                        finalize: op.finalize,
-                        squeeze,
-                    },
-                })
-                .collect();
-            // Mirroring is best-effort: a mirror-side pool failure skips
-            // the sample rather than failing served requests.
-            if self
-                .drive_tier(self.tier.primary.other(), &mut items)
-                .is_ok()
-            {
-                tally.mirrored += live.len() as u64;
-                tally.mismatches += live
-                    .iter()
-                    .zip(states.iter().zip(&outputs))
-                    .filter(|(op, (state, output))| *op.state != **state || op.output != **output)
-                    .count() as u64;
-            }
-        }
-        match outcome {
-            Ok(()) => {
-                for op in live {
-                    let timing = frame.timing(op.enqueued, service, retried);
-                    tally.samples.push(timing);
-                    tally.completed += 1;
-                    match op.reply {
-                        SpongeReply::Hash(ticket) => ticket.complete(Completion {
-                            result: Ok(op.output),
-                            timing,
+            tally.samples.push(timing);
+            tally.completed += 1;
+            match op.reply {
+                SpongeReply::Hash(ticket) => ticket.complete(Completion {
+                    result: Ok(op.output),
+                    timing,
+                }),
+                SpongeReply::Stream(ticket) => {
+                    tally.stream_ops += 1;
+                    tally.stream_absorbed += op.absorb.len() as u64;
+                    tally.stream_squeezed += op.output.len() as u64;
+                    ticket.complete(StreamCompletion {
+                        result: Ok(StreamOutput {
+                            state: op.state,
+                            output: op.output,
                         }),
-                        SpongeReply::Stream(ticket) => {
-                            tally.stream_ops += 1;
-                            tally.stream_absorbed += op.absorb.len() as u64;
-                            tally.stream_squeezed += op.output.len() as u64;
-                            ticket.complete(StreamCompletion {
-                                result: Ok(StreamOutput {
-                                    state: op.state,
-                                    output: op.output,
-                                }),
-                                timing,
-                            });
-                        }
-                    }
-                }
-            }
-            Err(error) => {
-                for op in live {
-                    tally.failures += 1;
-                    let timing = frame.timing(op.enqueued, service, retried);
-                    op.reply.fail(
-                        RequestError::WorkerFailure {
-                            error: error.clone(),
-                        },
                         timing,
-                    );
+                    });
                 }
             }
         }
@@ -727,16 +685,14 @@ impl Scheduler {
     /// Keccak jobs of *all* operations are packed — across requests —
     /// into shared per-parameter-set dispatch groups. This is where the
     /// cross-request batching pays off: one client's matrix-expansion
-    /// SHAKE128 squeezes ride the same SN-wide `hash_batch` pass as
-    /// another client's, filling engine slots a single operation could
-    /// not.
+    /// SHAKE128 squeezes ride the same SN-wide pass as another client's,
+    /// filling engine slots a single operation could not.
     ///
-    /// Each dispatch group gets the same supervision as the one-shot
-    /// lane: one retry on a lost worker (KEM hash jobs are pure
-    /// functions of their inputs, so a re-dispatch is always safe), and
-    /// the sampled mirror oracle re-hashing the group through the other
-    /// tier. A group that fails twice latches failure onto exactly the
-    /// operations with a job in it; unrelated operations keep advancing.
+    /// Each group is a [`Self::dispatch_group`] of fresh one-shot states,
+    /// so it gets the sponge lane's supervision: one retry on a lost
+    /// worker and the sampled mirror oracle. A group that fails twice
+    /// latches failure onto exactly the operations with a job in it;
+    /// unrelated operations keep advancing.
     fn dispatch_kems(
         &mut self,
         mut kem_live: Vec<KemLive>,
@@ -771,97 +727,111 @@ impl Scheduler {
                 .iter()
                 .map(|live| vec![None; live.job.pending().len()])
                 .collect();
-            let mut round_failures: Vec<Option<PoolError>> = vec![None; kem_live.len()];
-            let mut round_retried: Vec<bool> = vec![false; kem_live.len()];
             for (params, members) in &groups {
-                let requests: Vec<BatchRequest<'_>> = members
+                // Every KEM hash is a one-shot: a fresh state absorbing
+                // its input, finalized, squeezing its output.
+                let mut states = vec![SpongeState::new(*params); members.len()];
+                let mut outputs: Vec<Vec<u8>> = members
                     .iter()
-                    .map(|&(j, l)| {
-                        let hash_job = &kem_live[j].job.pending()[l];
-                        BatchRequest::new(&hash_job.input, hash_job.output_len)
-                    })
+                    .map(|&(j, l)| vec![0; kem_live[j].job.pending()[l].output_len])
                     .collect();
-                let group_index = self.groups_dispatched;
-                self.groups_dispatched += 1;
+                let inputs = members
+                    .iter()
+                    .map(|&(j, l)| (kem_live[j].job.pending()[l].input.as_slice(), true));
+                let mut items = zip_items(&mut states, inputs, &mut outputs);
                 tally.kem_dispatches += 1;
-                tally.kem_hash_jobs += requests.len() as u64;
-                let mut outcome = self.tier_hash(self.tier.primary, *params, &requests);
-                if outcome.is_err() {
-                    tally.retries += 1;
-                    for &(j, _) in members {
-                        round_retried[j] = true;
-                    }
-                    outcome = self.tier_hash(self.tier.primary, *params, &requests);
-                }
-                if let Ok(outputs) = &outcome {
-                    if self.tier.mirrors(group_index) {
-                        if let Ok(mirror) =
-                            self.tier_hash(self.tier.primary.other(), *params, &requests)
-                        {
-                            tally.mirrored += requests.len() as u64;
-                            tally.mismatches +=
-                                outputs.iter().zip(&mirror).filter(|(a, b)| a != b).count() as u64;
-                        }
-                    }
-                }
-                match outcome {
-                    Ok(outputs) => {
-                        for (&(j, l), output) in members.iter().zip(outputs) {
-                            round_outputs[j][l] = Some(output);
-                        }
-                    }
-                    Err(error) => {
-                        for &(j, _) in members {
-                            round_failures[j] = Some(error.clone());
-                        }
+                tally.kem_hash_jobs += members.len() as u64;
+                let run = self.dispatch_group(&mut items, tally);
+                // A group that failed twice latches onto its members.
+                for (&(j, l), output) in members.iter().zip(outputs) {
+                    kem_live[j].retried |= run.retried;
+                    match &run.outcome {
+                        Ok(()) => round_outputs[j][l] = Some(output),
+                        Err(error) => kem_live[j].failed = Some(error.clone()),
                     }
                 }
             }
 
-            // Advance every job whose round came back whole; latch
-            // failure onto the rest.
-            for (j, live) in kem_live.iter_mut().enumerate() {
-                live.retried |= round_retried[j];
-                if live.failed.is_some() || live.job.is_done() {
-                    continue;
+            // Advance every job whose round came back whole.
+            for (live, outputs) in kem_live.iter_mut().zip(round_outputs) {
+                if live.failed.is_none() && !live.job.is_done() {
+                    let outputs: Option<Vec<Vec<u8>>> = outputs.into_iter().collect();
+                    live.job
+                        .advance(outputs.expect("every pending hash job was dispatched"));
                 }
-                if let Some(error) = round_failures[j].take() {
-                    live.failed = Some(error);
-                    continue;
-                }
-                let outputs: Vec<Vec<u8>> = std::mem::take(&mut round_outputs[j])
-                    .into_iter()
-                    .map(|output| output.expect("every pending hash job was dispatched"))
-                    .collect();
-                live.job.advance(outputs);
             }
         }
 
         let service = started.elapsed();
         for live in kem_live {
             let timing = frame.timing(live.enqueued, service, live.retried);
-            match live.failed {
+            let result = match live.failed {
                 None => {
                     tally.samples.push(timing);
                     tally.completed += 1;
-                    match live.tag {
-                        "keygen" => tally.kem_keygen += 1,
-                        "encaps" => tally.kem_encaps += 1,
-                        _ => tally.kem_decaps += 1,
+                    let result = live.job.into_result();
+                    match result {
+                        KemResult::Keygen { .. } => tally.kem_keygen += 1,
+                        KemResult::Encaps { .. } => tally.kem_encaps += 1,
+                        KemResult::Decaps { .. } => tally.kem_decaps += 1,
                     }
-                    live.ticket.complete(KemCompletion {
-                        result: Ok(live.job.into_result()),
-                        timing,
-                    });
+                    Ok(result)
                 }
                 Some(error) => {
                     tally.failures += 1;
-                    live.ticket.complete(KemCompletion {
-                        result: Err(KemRequestError::WorkerFailure { error }),
-                        timing,
-                    });
+                    Err(KemRequestError::WorkerFailure { error })
+                }
+            };
+            live.ticket.complete(KemCompletion { result, timing });
+        }
+    }
+
+    /// One supervised dispatch group, shared by the sponge lane and every
+    /// KEM round. The states are snapshotted, then driven on the primary
+    /// tier. A failed attempt leaves garbage mid-stream, so the single
+    /// retry restores every snapshot first; its squeeze rewrites every
+    /// output byte. On a sampled group the mirror oracle replays the
+    /// snapshots through the other tier and diffs both the squeezed
+    /// bytes and the advanced states.
+    fn dispatch_group(&mut self, items: &mut [StreamItem<'_>], tally: &mut BatchTally) -> GroupRun {
+        let snapshots: Vec<SpongeState> = items.iter().map(|item| item.state.clone()).collect();
+        let group_index = self.groups_dispatched;
+        self.groups_dispatched += 1;
+        let started = Instant::now();
+        let mut retried = false;
+        let mut outcome = self.drive_tier(self.tier.primary, items);
+        if outcome.is_err() {
+            retried = true;
+            tally.retries += 1;
+            for (item, snapshot) in items.iter_mut().zip(&snapshots) {
+                *item.state = snapshot.clone();
+            }
+            outcome = self.drive_tier(self.tier.primary, items);
+        }
+        let service = started.elapsed();
+        if outcome.is_ok() && self.tier.mirrors(group_index) {
+            let mut states = snapshots;
+            let mut outputs: Vec<Vec<u8>> = items
+                .iter()
+                .map(|item| vec![0; item.op.squeeze.len()])
+                .collect();
+            let ops = items.iter().map(|item| (item.op.absorb, item.op.finalize));
+            let mut mirror = zip_items(&mut states, ops, &mut outputs);
+            // Mirroring is best-effort: a mirror-side pool failure skips
+            // the sample rather than failing served requests.
+            let mirror_tier = self.tier.primary.other();
+            if self.drive_tier(mirror_tier, &mut mirror).is_ok() {
+                tally.mirrored += items.len() as u64;
+                for ((item, state), output) in items.iter().zip(&states).zip(&outputs) {
+                    tally.mismatches +=
+                        u64::from(*item.state != *state || *item.op.squeeze != **output);
                 }
             }
+        }
+        GroupRun {
+            outcome,
+            retried,
+            service,
         }
     }
 
@@ -877,16 +847,12 @@ impl Scheduler {
     ) -> Result<(), PoolError> {
         match tier {
             TierKind::Simulator => {
-                let mut error = None;
                 let mut backend = SupervisedBackend {
                     pool: &mut self.pool,
-                    error: &mut error,
+                    error: None,
                 };
                 drive_stream(&mut backend, items);
-                match error {
-                    None => Ok(()),
-                    Some(error) => Err(error),
-                }
+                backend.error.map_or(Ok(()), Err)
             }
             TierKind::Native => {
                 drive_stream(&mut self.native, items);
@@ -899,52 +865,6 @@ impl Scheduler {
                 }
                 Ok(())
             }
-        }
-    }
-
-    /// One `hash_batch` attempt on the chosen tier. The simulator tier
-    /// is supervised (pool errors surface for the retry path); the
-    /// native tier is infallible host code, so it only fails by
-    /// producing wrong bits — which is exactly what the mirror oracle
-    /// watches for, and what the corruption drill simulates.
-    fn tier_hash(
-        &mut self,
-        tier: TierKind,
-        params: SpongeParams,
-        requests: &[BatchRequest<'_>],
-    ) -> Result<Vec<Vec<u8>>, PoolError> {
-        match tier {
-            TierKind::Simulator => self.supervised_hash(params, requests),
-            TierKind::Native => {
-                let mut digests = hash_batch(params, &mut self.native, requests);
-                if self.shared.native_corruption.load(Ordering::Relaxed) {
-                    for digest in &mut digests {
-                        if let Some(byte) = digest.first_mut() {
-                            *byte ^= 0x80;
-                        }
-                    }
-                }
-                Ok(digests)
-            }
-        }
-    }
-
-    /// One supervised `hash_batch` attempt: digests, or the first pool
-    /// error the dispatch hit.
-    fn supervised_hash(
-        &mut self,
-        params: SpongeParams,
-        requests: &[BatchRequest<'_>],
-    ) -> Result<Vec<Vec<u8>>, PoolError> {
-        let mut error = None;
-        let backend = SupervisedBackend {
-            pool: &mut self.pool,
-            error: &mut error,
-        };
-        let digests = hash_batch(params, backend, requests);
-        match error {
-            None => Ok(digests),
-            Some(error) => Err(error),
         }
     }
 }

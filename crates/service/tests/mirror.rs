@@ -5,7 +5,8 @@
 //! sampled groups through the other tier, and a corrupted native kernel
 //! is caught — whether it is serving traffic or only mirroring it.
 
-use krv_service::{HashRequest, Service, ServiceConfig, Ticket, TierKind, TierPolicy};
+use krv_kyber::KyberParams;
+use krv_service::{HashRequest, KemRequest, Service, ServiceConfig, Ticket, TierKind, TierPolicy};
 use krv_sha3::{Sha3_256, Shake128};
 use std::time::Duration;
 
@@ -132,6 +133,28 @@ fn corrupted_native_mirror_is_caught_from_the_simulator_side() {
     assert_eq!(report.native_served, 0);
     assert_eq!(report.mirrored, 6);
     assert_eq!(report.mirror_mismatches, 6);
+}
+
+#[test]
+fn corrupted_native_kem_traffic_is_latched_by_the_oracle() {
+    // A KEM-only load: every stage's hash group runs on the corrupted
+    // native tier and is mirrored through the simulator.
+    let service = Service::start(tiered_config(TierPolicy::native().with_mirror_every(1)));
+    service.inject_native_corruption();
+    for params in KyberParams::ALL {
+        let completion = service
+            .submit_kem(KemRequest::keygen(params, [3; 32], [4; 32]))
+            .expect("admitted")
+            .wait();
+        assert_eq!(completion.timing.tier, TierKind::Native);
+    }
+    let report = service.shutdown();
+    assert_eq!(report.kem_keygen, 3);
+    assert_eq!(
+        report.mirrored, report.kem_hash_jobs,
+        "mirror_every=1 re-hashes every KEM hash job"
+    );
+    assert!(report.mirror_mismatches > 0, "the oracle latched the drill");
 }
 
 #[test]

@@ -122,3 +122,22 @@ fn a_stream_absorb_and_a_hash_share_one_pass() {
     // owed in the first round: one SN = 2 pass carries them.
     assert_eq!(report.simulator_passes, 1);
 }
+
+#[test]
+fn a_one_block_shake128_output_takes_one_pass() {
+    // 168 bytes is exactly one SHAKE128 rate block: the padded block's
+    // permutation yields all of it; the next block's is never paid.
+    let service = Service::start(packed_config(1, 1));
+    let message = b"one whole rate block of output".to_vec();
+    let completion = service
+        .submit(HashRequest::shake128(message.clone(), 168))
+        .expect("admitted")
+        .wait();
+    assert_eq!(
+        completion.result.expect("served"),
+        Shake128::digest(&message, 168)
+    );
+    let report = service.shutdown();
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.simulator_passes, 1);
+}

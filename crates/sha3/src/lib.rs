@@ -14,9 +14,10 @@
 //!   extensions (`krv_core::EngineBackend`), which processes several
 //!   sponge states in one permutation call.
 //!
-//! [`batch`] exposes the multi-state interface the paper motivates with
-//! CRYSTALS-Kyber: hash `SN` same-length inputs through a backend that
-//! permutes all states simultaneously.
+//! [`stream::drive_stream`] is the one batched sponge driver: it advances
+//! many sponge states at once and packs every round's permutations into
+//! one backend call, the multi-state interface the paper motivates with
+//! CRYSTALS-Kyber. [`batch::hash_batch`] is its one-shot face.
 //!
 //! # Example
 //!
@@ -45,7 +46,7 @@ pub mod tree;
 pub use backend::{
     permute_all_grouped, BatchPermutationBackend, PermutationBackend, ReferenceBackend,
 };
-pub use batch::{hash_batch, BatchRequest, BatchSponge};
+pub use batch::{hash_batch, BatchRequest};
 pub use functions::{Sha3_224, Sha3_256, Sha3_384, Sha3_512, Shake128, Shake256, Xof};
 pub use sponge::{DomainSeparator, Sponge, SpongeParams, SpongeState};
 pub use stream::{drive_stream, StreamItem, StreamOp};

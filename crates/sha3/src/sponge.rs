@@ -1,7 +1,7 @@
 //! The sponge construction (paper Figure 1): padding, absorbing, squeezing.
 
 use crate::backend::PermutationBackend;
-use krv_keccak::constants::STATE_BYTES;
+use krv_keccak::constants::{PLANE_LANES, STATE_BYTES};
 use krv_keccak::KeccakState;
 
 /// Domain-separation suffix appended before the pad10*1 padding.
@@ -106,8 +106,7 @@ impl SpongeParams {
 /// `permute_all` round (see [`crate::stream::drive_stream`]): the driver
 /// advances every session's host-side byte work, packs exactly the
 /// states that stalled on a permutation, and permutes them in one
-/// backend call, the same drain-and-refill shape as
-/// [`crate::hash_batch`].
+/// backend call.
 ///
 /// The step methods ([`absorb_step`], [`finalize_pad`],
 /// [`squeeze_step`]) each run until the next block boundary; the `_with`
@@ -204,9 +203,7 @@ impl SpongeState {
         assert!(!self.needs_permute(), "permute before absorbing more");
         let rate = self.params.rate_bytes;
         let take = (rate - self.absorbed).min(data.len());
-        let mut block = [0u8; STATE_BYTES];
-        block[self.absorbed..self.absorbed + take].copy_from_slice(&data[..take]);
-        self.state.xor_bytes(&block[..self.absorbed + take]);
+        xor_at(&mut self.state, self.absorbed, &data[..take]);
         self.absorbed += take;
         take
     }
@@ -222,10 +219,14 @@ impl SpongeState {
         assert!(self.squeeze_offset.is_none(), "already finalized");
         assert!(!self.needs_permute(), "permute before padding");
         let rate = self.params.rate_bytes;
-        let mut block = vec![0u8; rate];
-        block[self.absorbed] = self.params.domain.first_pad_byte();
-        block[rate - 1] |= 0x80;
-        self.state.xor_bytes(&block);
+        // Both pad bytes may land on the same byte; the domain byte's top
+        // bit is clear, so XOR and OR agree.
+        xor_at(
+            &mut self.state,
+            self.absorbed,
+            &[self.params.domain.first_pad_byte()],
+        );
+        xor_at(&mut self.state, rate - 1, &[0x80]);
         self.absorbed = 0;
         self.squeeze_offset = Some(rate);
     }
@@ -244,8 +245,7 @@ impl SpongeState {
         assert!(!self.needs_permute(), "permute before squeezing more");
         let rate = self.params.rate_bytes;
         let take = (rate - offset).min(out.len());
-        let bytes = self.state.to_bytes();
-        out[..take].copy_from_slice(&bytes[offset..offset + take]);
+        extract_at(&self.state, offset, &mut out[..take]);
         self.squeeze_offset = Some(offset + take);
         take
     }
@@ -288,6 +288,61 @@ impl SpongeState {
             }
             written += self.squeeze_step(&mut out[written..]);
         }
+    }
+}
+
+/// XORs `bytes` into the state's FIPS-202 byte image starting at byte
+/// `offset`: whole lanes as one word each, a partial lane at either end
+/// through a zero-padded word.
+fn xor_at(state: &mut KeccakState, offset: usize, bytes: &[u8]) {
+    let mut xor = |lane: usize, word: [u8; 8]| {
+        state.xor_lane(
+            lane % PLANE_LANES,
+            lane / PLANE_LANES,
+            u64::from_le_bytes(word),
+        );
+    };
+    let (mut lane, shift) = (offset / 8, offset % 8);
+    let (head, rest) = bytes.split_at(((8 - shift) % 8).min(bytes.len()));
+    if !head.is_empty() {
+        let mut word = [0u8; 8];
+        word[shift..shift + head.len()].copy_from_slice(head);
+        xor(lane, word);
+        lane += 1;
+    }
+    let mut words = rest.chunks_exact(8);
+    for word in &mut words {
+        xor(lane, word.try_into().expect("chunks are 8 bytes"));
+        lane += 1;
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        xor(lane, word);
+    }
+}
+
+/// Copies `out.len()` bytes of the state's FIPS-202 byte image, starting
+/// at byte `offset`, reading only the lanes that cover them.
+fn extract_at(state: &KeccakState, offset: usize, out: &mut [u8]) {
+    let word = |lane: usize| state.lanes()[lane].to_le_bytes();
+    let (mut lane, shift) = (offset / 8, offset % 8);
+    let split = ((8 - shift) % 8).min(out.len());
+    let (head, rest) = out.split_at_mut(split);
+    if !head.is_empty() {
+        head.copy_from_slice(&word(lane)[shift..shift + head.len()]);
+        lane += 1;
+    }
+    let mut words = rest.chunks_exact_mut(8);
+    for chunk in &mut words {
+        chunk.copy_from_slice(&word(lane));
+        lane += 1;
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        let len = tail.len();
+        tail.copy_from_slice(&word(lane)[..len]);
     }
 }
 
@@ -531,6 +586,30 @@ mod tests {
         let mut sponge = Sponge::new(SpongeParams::shake(128), ReferenceBackend::new());
         sponge.absorb(&msg);
         assert_eq!(out.to_vec(), sponge.squeeze(96));
+    }
+
+    #[test]
+    fn word_wise_helpers_match_the_byte_image() {
+        let state = KeccakState::from_lanes(core::array::from_fn(|i| {
+            0x0123_4567_89AB_CDEFu64.rotate_left(i as u32 * 7)
+        }));
+        let image = state.to_bytes();
+        let bytes: Vec<u8> = (0..STATE_BYTES).map(|i| (i * 29 + 3) as u8).collect();
+        for offset in 0..STATE_BYTES {
+            for len in [0, 1, 7, 8, 9, 17, STATE_BYTES - offset] {
+                let len = len.min(STATE_BYTES - offset);
+                let mut out = vec![0u8; len];
+                extract_at(&state, offset, &mut out);
+                assert_eq!(out, image[offset..offset + len], "extract {offset}+{len}");
+                let mut xored = state;
+                xor_at(&mut xored, offset, &bytes[..len]);
+                let mut block = [0u8; STATE_BYTES];
+                block[offset..offset + len].copy_from_slice(&bytes[..len]);
+                let mut expected = state;
+                expected.xor_bytes(&block);
+                assert_eq!(xored, expected, "xor {offset}+{len}");
+            }
+        }
     }
 
     #[test]

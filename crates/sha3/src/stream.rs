@@ -1,20 +1,18 @@
-//! Batched streaming: many live sponge sessions sharing each
-//! permutation round.
+//! The crate's one batched sponge driver: many live sponge states
+//! sharing each permutation round.
 //!
-//! One-shot traffic gets its drain-and-refill schedule from
-//! [`crate::hash_batch`]. Streaming sessions cannot use it: their
-//! [`SpongeState`]s live across micro-batches (in a server session
-//! table), and each scheduler pass only carries *one bounded operation*
-//! per session — absorb a chunk, pad, squeeze a window. [`drive_stream`]
-//! is the batched driver for exactly that shape: it advances every
-//! operation's host-side byte work until the state stalls on a
-//! permutation, packs precisely the stalled states, permutes them in one
-//! backend call, and repeats until every operation completes. Finished
-//! operations drop out and the pack compacts, so a short absorb never
-//! pads out the schedule of a long one — the same minimum-pass property
-//! as `hash_batch`, but over borrowed, resumable states.
+//! A [`SpongeState`] may live across micro-batches (in a server session
+//! table), so each drive carries *one bounded operation* per state —
+//! absorb a chunk, pad, squeeze a window, or all three at once for a
+//! one-shot hash ([`crate::hash_batch`] is exactly that). [`drive_stream`]
+//! advances every operation's host-side byte work until the state stalls
+//! on a permutation, packs precisely the stalled states, permutes them in
+//! one backend call, and repeats until every operation completes.
+//! Finished operations drop out and the pack compacts, so a short absorb
+//! never pads out the schedule of a long one: the minimum `⌈live/SN⌉`
+//! passes per round, over borrowed, resumable states.
 //!
-//! Unlike `hash_batch`, operations in one drive need **not** share
+//! Operations in one drive need **not** share
 //! [`SpongeParams`](crate::SpongeParams): the permutation is
 //! rate-agnostic, so a SHAKE128 absorb and a SHA3-512 squeeze happily
 //! share hardware passes.
@@ -91,8 +89,17 @@ struct Progress {
 
 /// Advances one operation until it completes (returns `true`) or its
 /// state stalls on a permutation (returns `false`).
+///
+/// An operation that has written its last squeeze byte is complete even
+/// when that byte ended a rate block: the next block's permutation stays
+/// owed in the state, exactly as in [`crate::Sponge`], and is paid only
+/// if more output is ever squeezed. Absorb and finalize work still
+/// permutes at the boundary.
 fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
     loop {
+        if !item.op.squeeze.is_empty() && p.written == item.op.squeeze.len() {
+            return true;
+        }
         if item.state.needs_permute() {
             return false;
         }
@@ -124,10 +131,10 @@ fn advance(item: &mut StreamItem<'_>, p: &mut Progress) -> bool {
 /// advance it (there are property tests pinning equality at every chunk
 /// split); only the scheduling differs.
 ///
-/// Unlike `hash_batch`'s owned pack, states here are borrowed from
-/// their sessions, so each round gathers the stalled states into a
-/// scratch pack and scatters them back — 200 bytes each way per state
-/// per round, noise next to the permutation itself.
+/// States are borrowed from their owners, so each round gathers the
+/// stalled states into a scratch pack and scatters them back — 200
+/// bytes each way per state per round, noise next to the permutation
+/// itself.
 ///
 /// # Panics
 ///
@@ -357,6 +364,43 @@ mod tests {
         ];
         drive_stream(&mut backend, &mut items);
         assert_eq!(backend.calls, vec![2, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_squeeze_ending_on_a_block_boundary_owes_no_permutation() {
+        // One-shot XOFs whose output is a whole number of rate blocks:
+        // one permutation per output block, none for the block after.
+        for (params, out_len, perms) in [
+            (SpongeParams::shake(128), 168, 1),
+            (SpongeParams::shake(128), 504, 3),
+            (SpongeParams::shake(256), 136, 1),
+        ] {
+            let mut state = SpongeState::new(params);
+            let mut out = vec![0u8; out_len];
+            let mut backend = CountingBackend { calls: Vec::new() };
+            let mut items = [StreamItem {
+                state: &mut state,
+                op: StreamOp {
+                    absorb: b"boundary",
+                    finalize: true,
+                    squeeze: &mut out,
+                },
+            }];
+            drive_stream(&mut backend, &mut items);
+            assert_eq!(backend.calls.len(), perms, "{params:?} {out_len} B");
+            // The owed permutation is paid by the next squeeze instead.
+            let mut more = [0u8; 5];
+            let mut items = [StreamItem {
+                state: &mut state,
+                op: StreamOp::squeeze(&mut more),
+            }];
+            drive_stream(&mut backend, &mut items);
+            assert_eq!(backend.calls.len(), perms + 1);
+            let mut sponge = Sponge::new(params, ReferenceBackend::new());
+            sponge.absorb(b"boundary");
+            assert_eq!(sponge.squeeze(out_len), out);
+            assert_eq!(sponge.squeeze(5), more);
+        }
     }
 
     #[test]
