@@ -6,6 +6,7 @@ use crate::compiledtier::CompiledTierOutcome;
 use crate::diff::FuzzReport;
 use crate::kat::KatOutcome;
 use crate::oracle::OracleOutcome;
+use crate::width::{WidthOutcome, WIDTH_SNS};
 use krv_testkit::CaseReport;
 
 /// A backend × algorithm grid of KAT outcomes.
@@ -171,6 +172,35 @@ pub fn render_compiledtier(outcomes: &[CompiledTierOutcome]) -> String {
         out.push_str(&format!(
             "{:<width$}  {:>7}  {result}\n",
             outcome.scenario, outcome.cases
+        ));
+    }
+    out
+}
+
+/// Renders the width-row summary table (one row per kernel × execution
+/// tier).
+pub fn render_width(outcomes: &[WidthOutcome]) -> String {
+    let width = outcomes
+        .iter()
+        .map(|o| o.kernel.label().len())
+        .max()
+        .unwrap_or(0)
+        .max("kernel".len());
+    let mut out = format!(
+        "{:<width$}  {:<11}  {:>7}  result (SN in {WIDTH_SNS:?}, every k <= SN)\n",
+        "kernel", "tier", "cases"
+    );
+    for outcome in outcomes {
+        let result = if outcome.passed() {
+            "pass".to_string()
+        } else {
+            format!("FAIL ({} divergences)", outcome.failures.len())
+        };
+        out.push_str(&format!(
+            "{:<width$}  {:<11}  {:>7}  {result}\n",
+            outcome.kernel.label(),
+            outcome.tier,
+            outcome.cases
         ));
     }
     out

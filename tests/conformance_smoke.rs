@@ -6,8 +6,10 @@
 //! `--full` nightly); this test guards the same machinery from plain
 //! `cargo test` at the workspace root.
 
-use krv_conformance::{fuzz_backend, kat, run_oracle, vectors, Algorithm, PassMatrix, Tier};
-use krv_core::BackendKind;
+use krv_conformance::{
+    fuzz_backend, kat, run_oracle, run_width, vectors, Algorithm, PassMatrix, Tier,
+};
+use krv_core::{compiled_default, BackendKind};
 
 /// Suites the whole roster runs in the smoke test (one fixed-output
 /// hash, one XOF — the other four run on the reference backend only,
@@ -69,5 +71,20 @@ fn differential_fuzz_smoke_is_clean() {
 fn instruction_oracle_smoke_is_clean() {
     for outcome in run_oracle(3, 0xF1A5_C0DE) {
         assert!(outcome.passed(), "{}: {:?}", outcome.op, outcome.failures);
+    }
+}
+
+/// The width row on the process's default execution tier: the compiled
+/// tier normally, the stepper under `KRV_COMPILED=0`.
+#[test]
+fn width_row_smoke_is_clean() {
+    for outcome in run_width(compiled_default(), 0x57_1D7E) {
+        assert!(
+            outcome.passed(),
+            "{} ({}): {:?}",
+            outcome.kernel,
+            outcome.tier,
+            outcome.failures
+        );
     }
 }
